@@ -7,8 +7,8 @@ import (
 )
 
 // One benchmark per reproduced table/figure. Each iteration regenerates
-// the experiment's table at Quick scale; cmd/pde-experiments produces the
-// Full-scale tables recorded in EXPERIMENTS.md.
+// the experiment's table at Quick scale; `go run ./cmd/pde-experiments`
+// prints the Full-scale tables as markdown on stdout.
 
 func BenchmarkE1APSPTheorem41(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,5 +1,5 @@
-// Command pde-experiments regenerates every experiment table in
-// EXPERIMENTS.md: one table per theorem/figure of the paper, each showing
+// Command pde-experiments prints every experiment table as markdown on
+// stdout: one table per theorem/figure of the paper, each showing
 // paper-predicted against measured values.
 //
 // Usage:

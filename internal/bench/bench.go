@@ -2,9 +2,8 @@
 //
 // The experiment harness (experiments.go) has one runner per paper
 // claim, each producing a markdown table of paper-predicted vs.
-// measured values; the cmd/pde-experiments binary and the root
-// bench_test.go both drive these runners, and EXPERIMENTS.md records
-// their output.
+// measured values; the cmd/pde-experiments binary (which prints the
+// tables on stdout) and the root bench_test.go both drive these runners.
 //
 // The benchmark harness emits the committed BENCH_*.json artifact
 // families driven by cmd/pde-bench — simulation runs (harness.go), the

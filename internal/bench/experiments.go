@@ -21,7 +21,7 @@ type Scale int
 const (
 	// Quick is for unit tests and Go benchmarks.
 	Quick Scale = iota
-	// Full is the EXPERIMENTS.md configuration.
+	// Full is the scale cmd/pde-experiments prints by default.
 	Full
 )
 

@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -410,36 +409,7 @@ func run(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, P
 	res.BudgetRounds += res.SetupRounds
 
 	// Combine: w̃d(v,s) = min_i b(i)·hd_i(v,s), output the σ smallest.
-	res.Lists = make([][]Estimate, n)
-	for v := 0; v < n; v++ {
-		best := make(map[int32]Estimate)
-		for i, inst := range res.Instances {
-			for _, e := range inst.Det.Lists[v] {
-				d := float64(e.Dist) * inst.Base
-				cur, ok := best[e.Src]
-				if !ok || d < cur.Dist {
-					best[e.Src] = Estimate{Dist: d, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
-				}
-			}
-		}
-		lst := make([]Estimate, 0, len(best))
-		// Iteration order cannot be observed: Src keys are unique and the
-		// sort below imposes a total (Dist, Src) order before anything
-		// reads lst.
-		for _, e := range best { //pde:allow(determinism) sorted with a total order immediately below
-			lst = append(lst, e)
-		}
-		sort.Slice(lst, func(a, b int) bool {
-			if lst[a].Dist != lst[b].Dist {
-				return lst[a].Dist < lst[b].Dist
-			}
-			return lst[a].Src < lst[b].Src
-		})
-		if len(lst) > p.Sigma {
-			lst = lst[:p.Sigma]
-		}
-		res.Lists[v] = lst
-	}
+	res.Lists = outputLists(res, n, p.Sigma)
 	return res, ps, nil
 }
 

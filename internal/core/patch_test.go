@@ -199,3 +199,25 @@ func TestPatchStatsOnFreshRun(t *testing.T) {
 		t.Fatalf("fresh run stats = %+v for %d instances", st, len(res.Instances))
 	}
 }
+
+// BenchmarkPatchUnchanged measures a weight-preserving Patch of an n=512
+// APSP table (random topology, ε = 1, w_max = 4, seed 4): every rounding
+// instance is reused, so it times the fixed cost of the patch path —
+// length comparison, accounting merge and the output-list combine.
+func BenchmarkPatchUnchanged(b *testing.B) {
+	g, err := graph.Generate("random", 512, 4, rand.New(rand.NewSource(4)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := congest.Config{Parallel: true}
+	prev, err := Run(g, APSPParams(g.N(), 1), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ps, err := Patch(g, cfg, prev); err != nil || ps.Rebuilt != 0 {
+			b.Fatalf("Patch: rebuilt %d, err %v", ps.Rebuilt, err)
+		}
+	}
+}

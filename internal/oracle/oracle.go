@@ -12,16 +12,17 @@
 // read-only after construction and therefore safe for any number of
 // concurrent readers without locking (exercised under -race in tests).
 //
-// The combine is bit-identical to the legacy scan paths: the same
-// float64(dist)·base products, the same "first instance with the strictly
-// smallest value wins" tie-break, and the same σ-capped output-list
-// membership. Property tests assert equality entry-for-entry across
-// seeds and topologies; the scan paths stay in core as the correctness
-// reference.
+// The combine is core.Merger, the same merge kernel core.Run builds its
+// output lists with, so the compiled entries are bit-identical to the
+// legacy scan paths: the same float64(dist)·base products, the same
+// "first instance with the strictly smallest value wins" tie-break, and
+// the same σ-capped output-list membership. Property tests assert
+// equality entry-for-entry across seeds and topologies; the scan paths
+// stay in core as the correctness reference.
 package oracle
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"pde/internal/core"
@@ -56,58 +57,42 @@ func Compile(res *core.Result) *Oracle {
 	n := len(res.Lists)
 	o := &Oracle{n: n, off: make([]int64, n+1)}
 
-	type cand struct {
-		src  int32
-		dist float64
-		via  int32
-		inst int32
-		flag uint8
-	}
-	var buf []cand
+	// Two passes over the shared merge kernel: the first counts each
+	// node's distinct sources so the CSR arrays are allocated once at
+	// exact size (append-grown arrays overshoot and raise the peak heap),
+	// the second fills them in ascending source order.
+	m := core.NewMerger(n)
 	for v := 0; v < n; v++ {
-		buf = buf[:0]
-		for i, inst := range res.Instances {
-			for _, e := range inst.Det.Lists[v] {
-				buf = append(buf, cand{
-					src:  e.Src,
-					dist: float64(e.Dist) * inst.Base,
-					via:  e.Via,
-					inst: int32(i),
-					flag: e.Flag,
-				})
-			}
-		}
-		// Group by source; within a source the winner is the minimum
-		// distance, ties to the lowest instance — exactly the order the
-		// legacy scan (ascending instances, strict improvement) keeps.
-		sort.Slice(buf, func(a, b int) bool {
-			if buf[a].src != buf[b].src {
-				return buf[a].src < buf[b].src
-			}
-			if buf[a].dist != buf[b].dist {
-				return buf[a].dist < buf[b].dist
-			}
-			return buf[a].inst < buf[b].inst
-		})
-		for k := range buf {
-			if k > 0 && buf[k].src == buf[k-1].src {
-				continue
-			}
-			o.srcs = append(o.srcs, buf[k].src)
-			o.dists = append(o.dists, buf[k].dist)
-			o.vias = append(o.vias, buf[k].via)
-			o.insts = append(o.insts, buf[k].inst)
-			o.flags = append(o.flags, buf[k].flag)
-		}
-		o.off[v+1] = int64(len(o.srcs))
+		o.off[v+1] = o.off[v] + int64(len(m.Merge(res, v)))
 	}
-
-	// Mark σ-capped output-list membership so Lookup answers match
-	// Result.Lookup bit-for-bit.
-	o.inList = make([]bool, len(o.srcs))
+	total := o.off[n]
+	o.srcs = make([]int32, total)
+	o.dists = make([]float64, total)
+	o.vias = make([]int32, total)
+	o.insts = make([]int32, total)
+	o.flags = make([]uint8, total)
+	o.inList = make([]bool, total)
+	// at[s] is source s's entry index; entries below off[v] belong to
+	// earlier nodes.
+	at := make([]int64, n)
 	for v := 0; v < n; v++ {
+		srcs := m.Merge(res, v)
+		slices.Sort(srcs)
+		lo := o.off[v]
+		for j, s := range srcs {
+			k := lo + int64(j)
+			e := m.Best(s)
+			o.srcs[k] = e.Src
+			o.dists[k] = e.Dist
+			o.vias[k] = e.Via
+			o.insts[k] = e.Instance
+			o.flags[k] = e.Flag
+			at[s] = k
+		}
+		// Mark σ-capped output-list membership so Lookup answers match
+		// Result.Lookup bit-for-bit.
 		for _, e := range res.Lists[v] {
-			if k := o.find(v, e.Src); k >= 0 {
+			if k := at[e.Src]; k >= lo && o.srcs[k] == e.Src {
 				o.inList[k] = true
 			}
 		}

@@ -402,3 +402,21 @@ func TestOracleStats(t *testing.T) {
 		t.Fatal("BuildTime not recorded")
 	}
 }
+
+// BenchmarkCompile measures Compile on an n=512 APSP table (random
+// topology, ε = 1, w_max = 4, seed 4: the table perfbench's wire-bulk
+// workload serves), the recompile every /v1/update pays.
+func BenchmarkCompile(b *testing.B) {
+	g, err := graph.Generate("random", 512, 4, rand.New(rand.NewSource(4)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Run(g, core.APSPParams(g.N(), 1), congest.Config{Parallel: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		Compile(res)
+	}
+}

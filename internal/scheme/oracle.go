@@ -18,7 +18,8 @@ func init() {
 // daemon had before the registry existed, byte-for-byte. Its answers and
 // fingerprint are those of the underlying core.Result, so pre-registry
 // shards and post-registry oracle shards are indistinguishable on the
-// wire.
+// wire. The fingerprint is hashed once, in NewOracleInstance; Res must
+// not be mutated afterwards.
 type OracleInstance struct {
 	Sp  Spec
 	Gr  *graph.Graph
@@ -27,6 +28,7 @@ type OracleInstance struct {
 	Rtr *core.Router
 
 	buildNS int64
+	fp      uint64
 	acct    Accounting
 }
 
@@ -70,6 +72,7 @@ func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64)
 		O:       o,
 		Rtr:     core.NewRouterWith(g, res, o),
 		buildNS: buildNS,
+		fp:      res.Fingerprint(),
 	}
 	maxS, meanS, routes, err := measureStretch(g, sp.Seed, in.Route, func(v int) []int32 {
 		// Only list members are guaranteed routable (Corollary 3.5);
@@ -102,7 +105,7 @@ func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64)
 func (in *OracleInstance) Scheme() string      { return "oracle" }
 func (in *OracleInstance) Spec() Spec          { return in.Sp }
 func (in *OracleInstance) Graph() *graph.Graph { return in.Gr }
-func (in *OracleInstance) Fingerprint() uint64 { return in.Res.Fingerprint() }
+func (in *OracleInstance) Fingerprint() uint64 { return in.fp }
 func (in *OracleInstance) BuildNS() int64      { return in.buildNS }
 func (in *OracleInstance) Accounting() Accounting {
 	return in.acct

@@ -221,7 +221,8 @@ type Instance interface {
 	// Graph returns the generated topology.
 	Graph() *graph.Graph
 	// Fingerprint is the deterministic digest of the built tables; equal
-	// specs build equal fingerprints.
+	// specs build equal fingerprints. Every backend computes it once, at
+	// construction, so the call is O(1).
 	Fingerprint() uint64
 	// BuildNS is the wall clock the construction took.
 	BuildNS() int64

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"pde/internal/congest"
+	"pde/internal/core"
 	"pde/internal/graph"
 )
 
@@ -175,5 +177,40 @@ func TestUpdateFallbackForNonUpdatableSchemes(t *testing.T) {
 			t.Fatalf("scheme %s: fallback fingerprint %016x != cold build %016x",
 				sp.Scheme, ni.Fingerprint(), cold.Fingerprint())
 		}
+	}
+}
+
+// TestOracleFingerprintIsResultFingerprint checks that the fingerprint an
+// OracleInstance caches at construction is its result's digest on every
+// construction path: built, prebuilt, delta-updated and rebuild-updated.
+func TestOracleFingerprintIsResultFingerprint(t *testing.T) {
+	sp := oracleSpec()
+	built := mustBuild(t, sp).(*OracleInstance)
+	res, err := core.Run(built.Gr, sp.Params(built.Gr.N()), congest.Config{})
+	if err != nil {
+		t.Fatalf("core.Run: %v", err)
+	}
+	prebuilt, err := NewOracleInstance(sp, built.Gr, res, 0)
+	if err != nil {
+		t.Fatalf("NewOracleInstance: %v", err)
+	}
+	g2 := mutateWeights(t, built.Gr)
+	delta, st, err := Update(built, g2, UpdateOptions{})
+	if err != nil || st.Path != "delta" {
+		t.Fatalf("delta Update: path %q, err %v", st.Path, err)
+	}
+	rebuilt, st, err := Update(built, g2, UpdateOptions{ForceRebuild: true})
+	if err != nil || st.Path != "rebuild" {
+		t.Fatalf("forced Update: path %q, err %v", st.Path, err)
+	}
+	for name, in := range map[string]Instance{"built": built, "prebuilt": prebuilt, "delta": delta, "rebuild": rebuilt} {
+		oi := in.(*OracleInstance)
+		if got, want := oi.Fingerprint(), oi.Res.Fingerprint(); got != want {
+			t.Errorf("%s: Fingerprint() %016x != Res.Fingerprint() %016x", name, got, want)
+		}
+	}
+	if prebuilt.Fingerprint() != built.Fingerprint() || delta.Fingerprint() != rebuilt.Fingerprint() {
+		t.Errorf("equal tables fingerprint differently: built %016x prebuilt %016x, delta %016x rebuild %016x",
+			built.Fingerprint(), prebuilt.Fingerprint(), delta.Fingerprint(), rebuilt.Fingerprint())
 	}
 }
